@@ -97,6 +97,21 @@ def peak_rss_mb() -> float:
     return peak / 1024.0
 
 
+def stop_helper_processes() -> None:
+    """Stop and reap the ``multiprocessing`` resource tracker.
+
+    The shard pool's shared-memory arenas start it as a separate process
+    that would otherwise outlive this one until it notices the exit.  The
+    pool's own workers are already joined when each fleet's pool closes.
+    """
+    from multiprocessing import resource_tracker
+
+    tracker = getattr(resource_tracker, "_resource_tracker", None)
+    stop = getattr(tracker, "_stop", None)
+    if stop is not None:
+        stop()
+
+
 def timed(call):
     start = time.perf_counter()
     result = call()
@@ -181,6 +196,7 @@ def main(argv=None) -> int:
         else:
             metrics, gates = measure(workload, args.seconds, import_seconds)
     finally:
+        stop_helper_processes()
         shutil.rmtree(scratch, ignore_errors=True)
         try:
             scratch_root.rmdir()
