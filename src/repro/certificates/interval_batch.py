@@ -50,6 +50,12 @@ __all__ = [
 _LOWERINGS = 0
 _CACHE_HITS = 0
 
+#: Rows per kernel pass.  The kernels keep several temporaries per row and
+#: monomial, so a wide frontier evaluated in one pass sets the verifier's peak
+#: memory; rows are independent of the batch size (see above), so evaluating
+#: in slices of this many rows gives the same floats.
+KERNEL_ROWS = 4096
+
 
 class IntervalTable:
     """A polynomial lowered to flat arrays for batched interval/point work.
@@ -145,6 +151,15 @@ def range_boxes(
             f"{table.num_vars} vars"
         )
     count = low.shape[0]
+    if count > KERNEL_ROWS:
+        parts = [
+            range_boxes(table, low[start : start + KERNEL_ROWS], high[start : start + KERNEL_ROWS])
+            for start in range(0, count, KERNEL_ROWS)
+        ]
+        return (
+            np.concatenate([part[0] for part in parts]),
+            np.concatenate([part[1] for part in parts]),
+        )
     acc_lo = np.zeros(count)
     acc_hi = np.zeros(count)
     power_cache: dict = {}
@@ -215,6 +230,13 @@ def eval_points(table: IntervalTable, points: np.ndarray) -> np.ndarray:
             f"{table.num_vars} vars"
         )
     count = points.shape[0]
+    if count > KERNEL_ROWS:
+        return np.concatenate(
+            [
+                eval_points(table, points[start : start + KERNEL_ROWS])
+                for start in range(0, count, KERNEL_ROWS)
+            ]
+        )
     acc = np.zeros(count)
     power_cache: dict = {}
     for plan, coeff in zip(table.plans, table.coefficients):

@@ -156,6 +156,13 @@ class CEGISResult:
 
     @property
     def synthesis_seconds(self) -> float:
+        """The measured wall-clock of the whole run (Table 1's "Synthesis")."""
+        return self.total_seconds
+
+    @property
+    def accepted_branch_seconds(self) -> float:
+        """Synthesis + verification time of the accepted branches only; rejected
+        candidates, covering queries and replay probes are not included."""
         return sum(b.synthesis_seconds + b.verification_seconds for b in self.branches)
 
     def __bool__(self) -> bool:  # pragma: no cover - convenience

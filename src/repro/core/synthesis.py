@@ -6,6 +6,9 @@ along the two-point finite-difference estimate of the gradient of the
 imitation-with-safety objective (equation (6)):
 
     θ ← θ + α · [ (d(π, P_{θ+νδ}, C₁) − d(π, P_{θ−νδ}, C₂)) / ν ] · δ
+
+All ``2·directions`` perturbations of an iteration are scored by one call of
+the batched objective :func:`~repro.core.distance.candidate_distances`.
 """
 
 from __future__ import annotations
@@ -16,19 +19,27 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from ..envs.base import EnvironmentContext
+from ..envs.base import EnvironmentContext, as_batch_policy
 from ..lang.program import PolicyProgram
 from ..lang.sketch import AffineSketch, PolynomialSketch, ProgramSketch
 from ..polynomials import basis_design_matrix
-from .distance import DistanceConfig, program_oracle_distance
+# ``program_oracle_distance`` (the one-candidate objective) stays resolvable
+# from this module for callers that look it up here.
+from .distance import DistanceConfig, candidate_distances, program_oracle_distance  # noqa: F401
 
 __all__ = [
+    "ALGORITHM1_ENGINE",
     "SynthesisConfig",
     "SynthesisResult",
     "ProgramSynthesizer",
     "synthesize_program",
     "regression_warm_start",
 ]
+
+#: Identifies the Algorithm 1 implementation.  Float reassociation makes the
+#: batched objective's parameters differ from the one-state loop's by a few
+#: ulps, so the store only reuses shields synthesized by the same engine.
+ALGORITHM1_ENGINE = "batched-rollouts"
 
 
 def regression_warm_start(
@@ -48,7 +59,7 @@ def regression_warm_start(
     where no closed form applies.
     """
     states = env.safe_box.sample(rng, samples)
-    oracle_actions = np.stack([np.asarray(oracle(s), dtype=float) for s in states], axis=0)
+    oracle_actions = as_batch_policy(oracle, env.action_dim)(states)
     if isinstance(sketch, AffineSketch):
         features = states
         if sketch.include_bias:
@@ -135,11 +146,11 @@ class ProgramSynthesizer:
         history: List[float] = []
         converged = False
 
-        def objective(parameters: np.ndarray) -> float:
-            program = self.sketch.instantiate(parameters)
-            return program_oracle_distance(
+        def objective(candidates: np.ndarray) -> np.ndarray:
+            return candidate_distances(
                 self.env,
-                program,
+                self.sketch,
+                candidates,
                 self.oracle,
                 self._rng,
                 config=cfg.distance,
@@ -148,11 +159,12 @@ class ProgramSynthesizer:
 
         for iteration in range(1, cfg.iterations + 1):
             deltas = self._rng.normal(size=(cfg.directions, theta.size))
-            plus_scores = np.zeros(cfg.directions)
-            minus_scores = np.zeros(cfg.directions)
-            for index in range(cfg.directions):
-                plus_scores[index] = objective(theta + cfg.noise_scale * deltas[index])
-                minus_scores[index] = objective(theta - cfg.noise_scale * deltas[index])
+            # Plus/minus pairs in the order the perturbations are drawn.
+            candidates = np.empty((2 * cfg.directions, theta.size))
+            candidates[0::2] = theta + cfg.noise_scale * deltas
+            candidates[1::2] = theta - cfg.noise_scale * deltas
+            scores = objective(candidates)
+            plus_scores, minus_scores = scores[0::2], scores[1::2]
             # Normalise the finite-difference update by the score dispersion, as in
             # the augmented-random-search estimator the paper builds on [29, 30];
             # without it the large unsafe penalty makes raw updates blow up.
@@ -160,7 +172,7 @@ class ProgramSynthesizer:
             sigma = max(sigma, 1e-8)
             update = np.einsum("i,ij->j", plus_scores - minus_scores, deltas)
             theta = theta + cfg.learning_rate / (cfg.directions * sigma) * update
-            history.append(objective(theta))
+            history.append(float(objective(theta[None, :])[0]))
             if self._has_converged(history):
                 converged = True
                 break

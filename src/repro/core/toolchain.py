@@ -45,7 +45,7 @@ class ShieldSynthesisResult:
 
     @property
     def synthesis_seconds(self) -> float:
-        """Synthesis + verification time (Table 1 'Synthesis' column)."""
+        """Measured CEGIS wall-clock (Table 1 'Synthesis' column)."""
         return self.cegis.synthesis_seconds
 
     def pretty_program(self) -> str:

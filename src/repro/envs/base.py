@@ -291,12 +291,18 @@ class EnvironmentContext:
         states: np.ndarray,
         actions: np.ndarray,
         rng: np.random.Generator | None = None,
+        disturbances: np.ndarray | None = None,
     ) -> np.ndarray:
-        """One Euler transition for every episode at once."""
+        """One Euler transition for every episode at once.
+
+        ``disturbances`` supplies pre-drawn ``(episodes, state_dim)``
+        disturbance rows instead of sampling them from ``rng``.
+        """
         states = np.atleast_2d(np.asarray(states, dtype=float))
         actions = self.clip_action_batch(actions)
         rates = self.rate_batch(states, actions)
-        disturbances = self.sample_disturbance_batch(rng, states.shape[0])
+        if disturbances is None:
+            disturbances = self.sample_disturbance_batch(rng, states.shape[0])
         return states + self.dt * (rates + disturbances)
 
     def predict(self, state: np.ndarray, action: np.ndarray) -> np.ndarray:

@@ -9,9 +9,9 @@ This package hunts for gaps mechanically:
   dynamics, disturbance models, and adversarial states (``inf``/``nan``/
   ``-0.0``), all derived from one integer seed through
   ``np.random.SeedSequence`` so every failure replays from that integer;
-* :mod:`repro.fuzz.properties` — the seven property families
+* :mod:`repro.fuzz.properties` — the eight property families
   (``compiled``, ``fold``, ``serialize``, ``backends``, ``shard``,
-  ``analysis``, ``faults``), each a ``generate``/``check`` pair where
+  ``analysis``, ``faults``, ``synthesis``), each a ``generate``/``check`` pair where
   ``check`` returns a divergence message or ``None``;
 * :mod:`repro.fuzz.shrink` — a greedy, deterministic minimizer that strips a
   failing case (drop guard branches, zero coefficients, shrink fleets and

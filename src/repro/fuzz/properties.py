@@ -1,4 +1,4 @@
-"""The seven differential property families the fuzzer checks.
+"""The eight differential property families the fuzzer checks.
 
 Each family is a :class:`PropertyFamily` with a ``generate(rng) -> payload``
 and a ``check(payload) -> Optional[str]`` (``None`` = property holds, a
@@ -35,6 +35,11 @@ The equivalence claims are scoped exactly as the codebase defines them:
 * ``faults`` — a campaign run under a random :class:`~repro.faults.FaultPlan`
   (worker crashes, hangs past the watchdog, transient ``OSError``) recovers to
   per-episode arrays bit-identical to the fault-free run.
+* ``synthesis`` — Algorithm 1's batched objective
+  (:func:`~repro.core.distance.candidate_distances`) agrees with the
+  one-state reference loop (:mod:`repro.reference`) to 1e-9 relative on random
+  registry environments, sketches, norms, disturbance bounds, initial regions
+  and candidate counts, and leaves the generator in the same state.
 """
 
 from __future__ import annotations
@@ -1047,6 +1052,136 @@ def _shrink_faults(payload: Dict[str, Any]) -> Iterator[Dict[str, Any]]:
         yield {**payload, "shards": shards - 1}
 
 
+# --------------------------------------------------------- family: synthesis
+_SKETCH_KINDS = ("affine", "affine_bias", "polynomial")
+
+
+def _gen_synthesis(rng: np.random.Generator) -> Dict[str, Any]:
+    from ..envs import benchmark_names, make_environment
+
+    names = benchmark_names()
+    name = names[int(rng.integers(len(names)))]
+    env = make_environment(name)
+    kind = _SKETCH_KINDS[int(rng.integers(3))]
+    sketch = _synthesis_sketch(kind, env)
+    candidates = int(rng.integers(1, 5))
+    scale = float(rng.choice([0.1, 1.0, 5.0]))
+    region = None
+    if rng.random() < 0.3:
+        center = env.init_region.sample(rng, 1)[0]
+        region = {
+            "center": gen.enc_values(center),
+            "radius": float(rng.uniform(0.05, 1.0)) * env.init_region.radius,
+        }
+    return {
+        "env": name,
+        "sketch": kind,
+        "disturbance": (
+            gen.enc_values(rng.uniform(0.0, 0.5, size=env.state_dim))
+            if rng.random() < 0.5
+            else None
+        ),
+        "region": region,
+        "norm": "l1" if rng.random() < 0.5 else "l2",
+        "penalty": float(rng.choice([10.0, 1000.0])),
+        "trajectories": int(rng.integers(1, 4)),
+        "steps": int(rng.integers(1, 31)),
+        "thetas": [
+            gen.enc_values(rng.normal(scale=scale, size=sketch.num_parameters))
+            for _ in range(candidates)
+        ],
+        "oracle_seed": int(rng.integers(0, 2**31)),
+        "draw_seed": int(rng.integers(0, 2**31)),
+    }
+
+
+def _synthesis_sketch(kind: str, env):
+    from ..lang import AffineSketch, PolynomialSketch
+
+    if kind == "polynomial":
+        return PolynomialSketch(env.state_dim, env.action_dim, degree=2)
+    return AffineSketch(
+        env.state_dim,
+        env.action_dim,
+        include_bias=kind == "affine_bias",
+        action_low=env.action_low,
+        action_high=env.action_high,
+    )
+
+
+def _check_synthesis(payload: Dict[str, Any]) -> Optional[str]:
+    from .. import reference
+    from ..core.distance import DistanceConfig, candidate_distances
+    from ..envs import make_environment
+    from ..rl.networks import MLP
+    from ..rl.policies import NeuralPolicy
+
+    env = make_environment(payload["env"])
+    if payload["disturbance"] is not None:
+        env.disturbance_bound = np.asarray(gen.dec_values(payload["disturbance"]))
+    region = None
+    if payload["region"] is not None:
+        region = env.init_region.shrink_around(
+            gen.dec_values(payload["region"]["center"]), float(payload["region"]["radius"])
+        )
+    sketch = _synthesis_sketch(payload["sketch"], env)
+    oracle = NeuralPolicy(
+        network=MLP(
+            env.state_dim,
+            (8,),
+            env.action_dim,
+            output_scale=np.ones(env.action_dim),
+            seed=int(payload["oracle_seed"]),
+        )
+    )
+    config = DistanceConfig(
+        unsafe_penalty=float(payload["penalty"]),
+        norm=payload["norm"],
+        num_trajectories=int(payload["trajectories"]),
+        trajectory_length=int(payload["steps"]),
+    )
+    thetas = np.array([gen.dec_values(theta) for theta in payload["thetas"]])
+    batched_rng = np.random.default_rng(int(payload["draw_seed"]))
+    reference_rng = np.random.default_rng(int(payload["draw_seed"]))
+    batched = candidate_distances(
+        env, sketch, thetas, oracle, batched_rng, config, init_region=region
+    )
+    for index, theta in enumerate(thetas):
+        expected = reference.program_oracle_distance(
+            env, sketch.instantiate(theta), oracle, reference_rng, config, init_region=region
+        )
+        if not _values_agree(float(batched[index]), expected):
+            return (
+                f"candidate {index}: batched objective {float(batched[index])!r} != "
+                f"one-state reference {expected!r}"
+            )
+    if batched_rng.bit_generator.state != reference_rng.bit_generator.state:
+        return "batched objective consumed the generator differently from the reference"
+    return None
+
+
+def _shrink_synthesis(payload: Dict[str, Any]) -> Iterator[Dict[str, Any]]:
+    thetas = payload["thetas"]
+    if len(thetas) > 1:
+        for index in range(len(thetas)):
+            yield {**payload, "thetas": thetas[:index] + thetas[index + 1 :]}
+    for field, floor in (("trajectories", 1), ("steps", 1)):
+        value = int(payload[field])
+        for smaller in (floor, value // 2):
+            if floor <= smaller < value:
+                yield {**payload, field: smaller}
+    for field in ("disturbance", "region"):
+        if payload[field] is not None:
+            yield {**payload, field: None}
+    if payload["sketch"] != "affine":
+        from ..envs import make_environment
+
+        size = _synthesis_sketch("affine", make_environment(payload["env"])).num_parameters
+        yield {**payload, "sketch": "affine", "thetas": [[0.0] * size for _ in thetas]}
+    for zeroed in _zeroed_leaves(thetas):
+        yield {**payload, "thetas": zeroed}
+
+
 # -------------------------------------------------------------- the registry
 FAMILIES: Dict[str, PropertyFamily] = {
     family.name: family
@@ -1111,6 +1246,15 @@ FAMILIES: Dict[str, PropertyFamily] = {
             generate=_gen_faults,
             check=_check_faults,
             shrink_candidates=_shrink_faults,
+        ),
+        PropertyFamily(
+            name="synthesis",
+            description="Algorithm 1's batched objective equals the one-state "
+            "reference loop (same draws, same final generator state)",
+            weight=2,
+            generate=_gen_synthesis,
+            check=_check_synthesis,
+            shrink_candidates=_shrink_synthesis,
         ),
     )
 }

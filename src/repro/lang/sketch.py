@@ -8,11 +8,11 @@ and the verification step searches the invariant-sketch coefficients c.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from ..polynomials import Monomial, Polynomial, monomial_basis
+from ..polynomials import Monomial, Polynomial, basis_design_matrix, monomial_basis
 from .invariant import Invariant
 from .program import AffineProgram, ExprProgram, PolicyProgram
 from .expr import expr_from_polynomial
@@ -36,6 +36,33 @@ class ProgramSketch:
 
     def instantiate(self, theta: Sequence[float]) -> PolicyProgram:
         raise NotImplementedError
+
+    def batch_policy(
+        self, thetas: np.ndarray, repeats: int
+    ) -> Callable[[np.ndarray], np.ndarray]:
+        """The actions of ``K`` candidates over a ``(K·repeats, state_dim)`` block.
+
+        Rows ``k·repeats … (k+1)·repeats − 1`` are evaluated under ``thetas[k]``
+        (Algorithm 1 scores all of an iteration's perturbations as one array).
+        The default groups rows by candidate and calls each instantiated
+        program's ``act_batch``; sketches whose output is linear in θ override
+        it with one vectorised evaluation.
+        """
+        programs = [self.instantiate(theta) for theta in np.atleast_2d(thetas)]
+
+        def act(states: np.ndarray) -> np.ndarray:
+            blocks = np.split(states, len(programs))
+            return np.concatenate(
+                [
+                    np.asarray(program.act_batch(block), dtype=float).reshape(
+                        len(block), self.action_dim
+                    )
+                    for program, block in zip(programs, blocks)
+                ],
+                axis=0,
+            )
+
+        return act
 
 
 @dataclass
@@ -77,6 +104,28 @@ class AffineSketch(ProgramSketch):
             action_high=self.action_high,
             names=self.names,
         )
+
+    def batch_policy(
+        self, thetas: np.ndarray, repeats: int
+    ) -> Callable[[np.ndarray], np.ndarray]:
+        """Per-row ``K s + b`` as an elementwise multiply-add (see the base class)."""
+        per_output = self.state_dim + (1 if self.include_bias else 0)
+        table = np.asarray(thetas, dtype=float).reshape(-1, 1, self.action_dim, per_output)
+        gain = table[..., : self.state_dim]
+        bias = table[..., self.state_dim] if self.include_bias else None
+        shape = (table.shape[0], repeats, 1, self.state_dim)
+
+        def act(states: np.ndarray) -> np.ndarray:
+            actions = np.sum(gain * states.reshape(shape), axis=-1)
+            if bias is not None:
+                actions = actions + bias
+            if self.action_low is not None:
+                actions = np.maximum(actions, self.action_low)
+            if self.action_high is not None:
+                actions = np.minimum(actions, self.action_high)
+            return actions.reshape(-1, self.action_dim)
+
+        return act
 
     def parameters_of(self, program: AffineProgram) -> np.ndarray:
         """Inverse of :meth:`instantiate` for programs drawn from this sketch."""
@@ -121,6 +170,21 @@ class PolynomialSketch(ProgramSketch):
             poly = Polynomial.from_coefficients(row, self.basis, self.state_dim)
             exprs.append(expr_from_polynomial(poly, self.names))
         return ExprProgram(exprs=tuple(exprs), state_dim=self.state_dim, names=self.names)
+
+    def batch_policy(
+        self, thetas: np.ndarray, repeats: int
+    ) -> Callable[[np.ndarray], np.ndarray]:
+        """Per-row coefficient rows against the basis design matrix (see the base class)."""
+        coefficients = np.asarray(thetas, dtype=float).reshape(
+            -1, 1, self.action_dim, len(self.basis)
+        )
+        shape = (coefficients.shape[0], repeats, 1, len(self.basis))
+
+        def act(states: np.ndarray) -> np.ndarray:
+            features = basis_design_matrix(self.basis, states).reshape(shape)
+            return np.sum(coefficients * features, axis=-1).reshape(-1, self.action_dim)
+
+        return act
 
 
 @dataclass

@@ -26,6 +26,7 @@ from ..compile import warm_kernel_cache
 from ..core.cegis import CEGISConfig, CEGISResult
 from ..core.replay import CounterexampleCache
 from ..core.shield import Shield
+from ..core.synthesis import ALGORITHM1_ENGINE
 from ..core.toolchain import ShieldSynthesisResult, synthesize_shield
 from ..envs.base import EnvironmentContext
 from ..lang.invariant import InvariantUnion
@@ -76,7 +77,7 @@ class ServiceResult:
 
     @property
     def synthesis_seconds(self) -> float:
-        """Synthesis + verification wall-clock; 0.0 for a store hit (nothing ran)."""
+        """Measured CEGIS wall-clock; 0.0 for a store hit (nothing ran)."""
         if self.cegis is not None:
             return self.cegis.synthesis_seconds
         return 0.0
@@ -152,6 +153,7 @@ class SynthesisService:
                 config_hash=cfg_hash,
                 seed=config.seed,
                 overrides_hash=overrides_hash,
+                algorithm1_engine=ALGORITHM1_ENGINE,
             )
             if entries:
                 artifact = self.store.get(entries[0].key)
@@ -304,6 +306,7 @@ class SynthesisService:
             "seed": config.seed,
             "config_hash": cfg_hash,
             "overrides_hash": overrides_hash,
+            "algorithm1_engine": ALGORITHM1_ENGINE,
             "certificate_backends": ",".join(backends),
             "workers": cegis.workers,
             "rounds": cegis.rounds,

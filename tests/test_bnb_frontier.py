@@ -28,6 +28,7 @@ import pytest
 
 from repro.baselines import make_lqr_policy
 from repro.certificates import Box, BranchAndBoundVerifier, frontier_enabled
+from repro.certificates import interval_batch
 from repro.certificates.interval_batch import eval_points, lower_interval, range_boxes
 from repro.envs import make_environment
 from repro.lang import AffineProgram
@@ -295,6 +296,21 @@ def test_kernels_batch_size_independent():
             row_lo, row_hi = range_boxes(table, low[i : i + 1], high[i : i + 1])
             assert row_lo[0] == batch_lo[i] and row_hi[0] == batch_hi[i]
             assert eval_points(table, points[i : i + 1])[0] == batch_vals[i]
+
+
+def test_kernels_sliced_batches_identical(monkeypatch):
+    """Batches wider than ``KERNEL_ROWS`` are evaluated in slices with the
+    same floats as one pass."""
+    rng = np.random.default_rng(11)
+    poly = _rand_poly(3, 6, 4, rng)
+    table = lower_interval(poly)
+    low = rng.uniform(-2, 1, (23, 3))
+    high = low + rng.uniform(0.0, 2, (23, 3))
+    whole = range_boxes(table, low, high) + (eval_points(table, low),)
+    monkeypatch.setattr(interval_batch, "KERNEL_ROWS", 5)
+    sliced = range_boxes(table, low, high) + (eval_points(table, low),)
+    for expected, got in zip(whole, sliced):
+        assert np.array_equal(expected, got)
 
 
 def test_range_boxes_matches_interval_arithmetic():
