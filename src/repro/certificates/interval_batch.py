@@ -21,7 +21,12 @@ one rule: **per-row results are independent of the batch size**.  That means
   ``Polynomial.evaluate_batch`` rows change with the number of rows);
 * the fold order replicates :func:`repro.polynomials.polynomial_range`
   exactly: monomials in the polynomial's term order, variables in index order,
-  ``power -> product -> scale -> sum`` with the same nan-to-unbounded repairs.
+  ``power -> product -> scale -> sum`` with the same nan-to-unbounded repairs;
+* :func:`eval_points` computes each monomial's product from a prefix-shared
+  schedule memoized on the table: monomials that begin with the same factors
+  share that partial product.  A partial product is a prefix of the left
+  fold, so the operands and their order are those of the unshared fold
+  (:func:`repro.reference.eval_points_sequential`), and so are the floats.
 
 Evaluating one box through :func:`range_boxes` therefore yields the same
 floats as evaluating it in the middle of a 10,000-box frontier, which is what
@@ -35,7 +40,7 @@ re-lower the same certificate.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -66,7 +71,7 @@ class IntervalTable:
     must replicate ``polynomial_range``'s term iteration exactly).
     """
 
-    __slots__ = ("num_vars", "coefficients", "plans", "max_exponent")
+    __slots__ = ("num_vars", "coefficients", "plans", "max_exponent", "schedule")
 
     def __init__(self, num_vars: int, coefficients: np.ndarray, plans: Tuple) -> None:
         self.num_vars = int(num_vars)
@@ -75,6 +80,8 @@ class IntervalTable:
         self.max_exponent = max(
             (exp for plan in plans for _var, exp in plan), default=0
         )
+        #: :func:`eval_points`' prefix-shared product schedule, built on first use.
+        self.schedule = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -216,12 +223,58 @@ def range_boxes(
 
 
 # ------------------------------------------------------------ point evaluation
+def _prefix_schedule(table: IntervalTable) -> Tuple:
+    """The table's monomial products as a prefix-shared schedule (memoized).
+
+    Every distinct plan prefix ``((v0, e0), ..., (vj, ej))`` becomes one slot,
+    numbered in order of first use; a slot's value is its parent prefix's
+    value times ``x_vj ** ej`` (a length-1 prefix is the power itself).  Per
+    monomial, in term order, the schedule holds the slots that monomial
+    creates as ``(parent, (var, exp))`` pairs, the slot to fold (``-1`` for
+    the constant monomial), and the slots no later monomial reads, which are
+    released so a long table keeps only live products in cache.  Each product
+    is therefore computed once per batch, with the same operands in the same
+    order as the plain left fold ``((x_v0**e0 * x_v1**e1) * ...)``.
+    """
+    schedule = table.schedule
+    if schedule is None:
+        slots: dict = {}
+        created_by: List[List[Tuple[int, Tuple[int, int]]]] = []
+        folded: List[int] = []
+        last_use: List[int] = []
+        for index, plan in enumerate(table.plans):
+            created = []
+            slot = -1
+            for depth in range(len(plan)):
+                prefix = plan[: depth + 1]
+                known = slots.get(prefix)
+                if known is None:
+                    known = slots[prefix] = len(slots)
+                    created.append((slot, plan[depth]))
+                    last_use.append(index)
+                slot = known
+                last_use[slot] = index
+            created_by.append(created)
+            folded.append(slot)
+        released: List[List[int]] = [[] for _ in table.plans]
+        for slot, index in enumerate(last_use):
+            released[index].append(slot)
+        schedule = table.schedule = tuple(
+            (tuple(created), slot, tuple(free))
+            for created, slot, free in zip(created_by, folded, released)
+        )
+    return schedule
+
+
 def eval_points(table: IntervalTable, points: np.ndarray) -> np.ndarray:
     """Evaluate the polynomial at ``(n, num_vars)`` points, returning ``(n,)``.
 
-    A sequential per-monomial fold (powers shared across monomials), so row
-    values are independent of how many points share the batch — the property
-    the scalar/frontier differential contract relies on.
+    Powers are shared across monomials and products across monomials with a
+    common prefix (:func:`_prefix_schedule`); the sum is the sequential
+    ``acc + coeff * value`` fold in term order.  Every operation is elementwise,
+    so row values are independent of how many points share the batch — the
+    property the scalar/frontier differential contract relies on — and equal
+    :func:`repro.reference.eval_points_sequential`, the unshared fold.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != table.num_vars:
@@ -238,23 +291,23 @@ def eval_points(table: IntervalTable, points: np.ndarray) -> np.ndarray:
             ]
         )
     acc = np.zeros(count)
+    term = np.empty(count)
+    products: List = []
     power_cache: dict = {}
-    for plan, coeff in zip(table.plans, table.coefficients):
-        value: np.ndarray | None = None
-        for var, exp in plan:
-            key = (var, exp)
+    for (created, slot, released), coeff in zip(_prefix_schedule(table), table.coefficients):
+        for parent, key in created:
             power = power_cache.get(key)
             if power is None:
+                var, exp = key
                 column = points[:, var]
                 power = column if exp == 1 else np.power(column, float(exp))
                 power_cache[key] = power
-            value = power if value is None else value * power
-        acc = acc + coeff if value is None else acc + coeff * value
+            products.append(power if parent < 0 else products[parent] * power)
+        if slot < 0:
+            np.add(acc, coeff, out=acc)
+        else:
+            np.multiply(coeff, products[slot], out=term)
+            np.add(acc, term, out=acc)
+        for done in released:
+            products[done] = None
     return acc
-
-
-def eval_points_all(tables: Sequence[IntervalTable], points: np.ndarray) -> np.ndarray:
-    """Stacked ``(len(tables), n)`` evaluation of several lowered polynomials."""
-    if not tables:
-        return np.zeros((0, np.asarray(points).shape[0]))
-    return np.stack([eval_points(table, points) for table in tables], axis=0)

@@ -49,6 +49,32 @@ canonical hash of the query (sense, lowered polynomials, boxes), and the
 ordinal of the limit box in canonical order — never from shared verifier
 state — so verdicts are reproducible regardless of how many queries the
 verifier answered before, and identical across the two engines.
+
+The frontier engine evaluates each point once.  Skipping a point is only
+allowed where its answer is already known, so none of the following changes
+a float or a verdict:
+
+* **Feasibility first.**  A point's target value matters only if it
+  satisfies every constraint, so the target, and each constraint after the
+  first, is evaluated only on the rows still feasible.  The cover check does
+  the same: each barrier is evaluated only on the centres no earlier barrier
+  covers.
+* **Inherited corners.**  A box is split only when its whole round found no
+  witness, so its children skip the ``2**(d-1)`` corners they share with it
+  and check the centre plus the mid-plane corners, still in corner order.
+* **Batched sampling.**  The limit boxes of a round are sampled a chunk of
+  ``KERNEL_ROWS`` sample rows at a time, stopping at the first chunk with a
+  hit.  One elementwise uint32 pass of numpy's ``SeedSequence`` hash gives
+  every box's PCG64 seed words; numpy's own ``PCG64`` then draws
+  ``random((k, d))`` per box, and ``low + (high - low) * u`` is
+  ``Generator.uniform``'s own affine map, so each box gets exactly the
+  samples ``_box_rng`` would give it.  Ordinals from ``2**32`` on fall back
+  to ``_box_rng`` per box.
+
+The scalar engine keeps the per-box form of all three: it evaluates every
+corner of every box, and draws each limit box's samples from its own
+``_box_rng(seed, digest, ordinal).uniform`` call.  It shares the point masks
+and the numeric kernels with the frontier engine.
 """
 
 from __future__ import annotations
@@ -60,9 +86,16 @@ from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from ..polynomials import Polynomial
-from .interval_batch import IntervalTable, eval_points, lower_interval, range_boxes
+from .interval_batch import (
+    KERNEL_ROWS,
+    IntervalTable,
+    eval_points,
+    lower_interval,
+    range_boxes,
+)
 from .regions import Box
 
 __all__ = [
@@ -129,6 +162,122 @@ def _box_rng(seed: int, digest: int, ordinal: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(ordinal,)))
 
 
+# ------------------------------------------------ batched resolution-limit draws
+_MASK32 = 0xFFFFFFFF
+# numpy's SeedSequence hash constants (``numpy/random/bit_generator.pyx``).
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_POOL_SIZE = 4
+
+
+def _uint32_words(value: int) -> List[int]:
+    """Little-endian 32-bit words of a non-negative int, as SeedSequence splits it."""
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _limit_seed_states(seed: int, digest: int, ordinals: np.ndarray) -> np.ndarray:
+    """PCG64 seed words of :func:`_box_rng` for many ordinals at once.
+
+    Row ``j`` equals ``SeedSequence((seed, digest), spawn_key=(ordinals[j],))
+    .generate_state(4, np.uint64)``: the SeedSequence hash run elementwise over
+    uint32 columns, one per entropy word.  Only the spawn-key column varies
+    across rows.  Requires ``ordinals < 2**32`` (a one-word spawn key).
+    """
+    run = _uint32_words(int(seed) & 0xFFFFFFFFFFFFFFFF) + _uint32_words(int(digest))
+    run += [0] * (_POOL_SIZE - len(run))  # a spawn key pads the run entropy
+    # Run-entropy columns are one-element arrays that broadcast against the
+    # spawn-key column, so the hash of the shared words runs once.
+    entropy = [np.array([word], dtype=np.uint32) for word in run]
+    entropy.append(ordinals.astype(np.uint32))
+    shift = np.uint32(16)
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> shift)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> shift)
+
+    pool = [hashmix(entropy[i]) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, len(entropy)):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
+    hash_const = _INIT_B
+    words = []
+    for index in range(8):  # 4 uint64 = 8 uint32 words, cycling the pool
+        value = pool[index % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = value * np.uint32(hash_const)
+        words.append((value ^ (value >> shift)).astype(np.uint64))
+    return np.stack(
+        [words[2 * i] | (words[2 * i + 1] << np.uint64(32)) for i in range(4)], axis=1
+    )
+
+
+class _SeedWords(ISeedSequence):
+    """Hands ``PCG64`` seed words already hashed by :func:`_limit_seed_states`."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _limit_chunk_boxes(samples: int) -> int:
+    """Resolution-limit boxes sampled per pass: ``KERNEL_ROWS`` sample rows."""
+    return max(1, KERNEL_ROWS // max(1, samples))
+
+
+def _limit_samples(
+    seed: int,
+    digest: int,
+    ordinals: np.ndarray,
+    low: np.ndarray,
+    high: np.ndarray,
+    samples: int,
+) -> np.ndarray:
+    """``(n, samples, d)`` resolution-limit draws of ``n`` boxes.
+
+    Row ``j`` is bit-identical to ``_box_rng(seed, digest, ordinals[j])
+    .uniform(low[j], high[j], (samples, d))``: the same PCG64 stream through
+    ``random``, then uniform's own affine map ``low + (high - low) * u``.
+    """
+    count, dim = low.shape
+    if int(ordinals[-1]) >> 32:  # two-word spawn keys: draw per box from _box_rng
+        return np.stack(
+            [
+                _box_rng(seed, digest, int(o)).uniform(low[j], high[j], (samples, dim))
+                for j, o in enumerate(ordinals)
+            ]
+        )
+    states = _limit_seed_states(seed, digest, ordinals)
+    unit = np.empty((count, samples, dim))
+    for j in range(count):
+        unit[j] = np.random.Generator(np.random.PCG64(_SeedWords(states[j]))).random(
+            (samples, dim)
+        )
+    return low[:, None, :] + (high - low)[:, None, :] * unit
+
+
 # ------------------------------------------------------------ candidate points
 _CORNER_SELECTORS: Dict[int, np.ndarray] = {}
 
@@ -166,6 +315,49 @@ def _candidate_points(low: np.ndarray, high: np.ndarray) -> np.ndarray:
     if m > 1:
         sel = _corner_selectors(dim)
         cand[:, 1:, :] = np.where(sel[None, :, :], high[:, None, :], low[:, None, :])
+    return cand
+
+
+_NEW_CORNER_ROWS: Dict[int, np.ndarray] = {}
+
+
+def _new_corner_rows(dim: int) -> np.ndarray:
+    """``(dim, 2, 2**(dim-1))`` corner indices a child box does not inherit.
+
+    Entry ``[axis, side]`` lists, in ``Box.corners()`` order, the corners of a
+    child split along ``axis`` that lie on the mid-plane: bit ``axis`` set for
+    the lower child (``side`` 0, whose high end is the midpoint), clear for the
+    upper child (``side`` 1).  The child's other corners are its parent's.
+    """
+    rows = _NEW_CORNER_ROWS.get(dim)
+    if rows is None:
+        sel = _corner_selectors(dim)
+        rows = np.stack(
+            [
+                [np.flatnonzero(sel[:, axis]), np.flatnonzero(~sel[:, axis])]
+                for axis in range(dim)
+            ]
+        )
+        _NEW_CORNER_ROWS[dim] = rows
+    return rows
+
+
+def _child_candidate_points(
+    low: np.ndarray, high: np.ndarray, axes: np.ndarray, sides: np.ndarray
+) -> np.ndarray:
+    """Falsification candidates of split children, skipping inherited corners.
+
+    Like :func:`_candidate_points`, but box ``i`` (split along ``axes[i]``,
+    lower child when ``sides[i]`` is 0) gets only its centre and its
+    ``2**(d-1)`` mid-plane corners, still in ``Box.corners()`` order.
+    """
+    count, dim = low.shape
+    if _candidate_count(dim) == 1:
+        return _candidate_points(low, high)
+    sel = _corner_selectors(dim)[_new_corner_rows(dim)[axes, sides]]
+    cand = np.empty((count, 1 + sel.shape[1], dim))
+    cand[:, 0, :] = 0.5 * (low + high)
+    cand[:, 1:, :] = np.where(sel, high[:, None, :], low[:, None, :])
     return cand
 
 
@@ -376,6 +568,9 @@ class BranchAndBoundVerifier:
         explored = 0
         limit_ordinal = 0
         tol = self.tolerance
+        # Split axis of each frontier box (``None`` for the initial boxes,
+        # which have no parent whose corners they inherit).
+        axes: Optional[np.ndarray] = None
         while low.shape[0]:
             remaining = self.max_boxes - explored
             if remaining <= 0:
@@ -410,7 +605,15 @@ class BranchAndBoundVerifier:
 
             witness_mask = np.zeros(count, dtype=bool)
             if open_idx.size:
-                cand = _candidate_points(low[open_idx], high[open_idx])
+                if axes is None:
+                    cand = _candidate_points(low[open_idx], high[open_idx])
+                else:
+                    # Children skip the corners they share with their parent:
+                    # the parent evaluated them and found no witness, or the
+                    # query would have ended before the split.
+                    cand = _child_candidate_points(
+                        low[open_idx], high[open_idx], axes[open_idx], open_idx & 1
+                    )
                 n_open, m, dim = cand.shape
                 viol = self._violation_mask(
                     target, ctables, cand.reshape(-1, dim), sense
@@ -436,28 +639,20 @@ class BranchAndBoundVerifier:
             limit_idx = np.flatnonzero(limit_mask)
             if limit_idx.size and limit_idx[0] < event_box:
                 if self.resolution_limit_policy == "sample":
-                    k = self.resolution_samples
-                    dim = low.shape[1]
-                    samples = np.empty((limit_idx.size, k, dim))
-                    for j, i in enumerate(limit_idx):
-                        rng = _box_rng(self.seed, digest, limit_ordinal + j)
-                        samples[j] = rng.uniform(low[i], high[i], (k, dim))
-                    viol = self._violation_mask(
-                        target, ctables, samples.reshape(-1, dim), sense
-                    ).reshape(limit_idx.size, k)
-                    has_sample = viol.any(axis=1)
-                    hits = np.flatnonzero(has_sample)
-                    for j in hits:
-                        if limit_idx[j] >= event_box:
-                            break
-                        first_sample = int(np.argmax(viol[j]))
-                        event_box = int(limit_idx[j])
-                        event = CheckResult(
-                            False,
-                            counterexample=samples[j, first_sample].copy(),
-                            boxes_explored=0,
-                        )
-                        break
+                    hit = self._sample_limit_boxes(
+                        target,
+                        ctables,
+                        low,
+                        high,
+                        limit_idx[limit_idx < event_box],
+                        limit_ordinal,
+                        sense,
+                        digest,
+                    )
+                    if hit is not None:
+                        box, witness = hit
+                        event_box = box
+                        event = CheckResult(False, counterexample=witness, boxes_explored=0)
                 else:
                     centers = 0.5 * (low[limit_idx] + high[limit_idx])
                     feasible = self._feasible_mask(ctables, centers)
@@ -490,17 +685,69 @@ class BranchAndBoundVerifier:
             split_idx = np.flatnonzero(open_mask & ~limit_mask)
             if not split_idx.size:
                 break
-            low, high = _split_batch(low[split_idx], high[split_idx])
+            low, high = low[split_idx], high[split_idx]
+            axes = np.repeat(np.argmax(high - low, axis=1), 2)
+            low, high = _split_batch(low, high)
 
         return CheckResult(True, boxes_explored=explored)
 
+    def _sample_limit_boxes(
+        self,
+        target: IntervalTable,
+        ctables: Sequence[IntervalTable],
+        low: np.ndarray,
+        high: np.ndarray,
+        limit_idx: np.ndarray,
+        first_ordinal: int,
+        sense: str,
+        digest: int,
+    ) -> Optional[Tuple[int, np.ndarray]]:
+        """Sample the resolution-limit boxes ``limit_idx`` in canonical order.
+
+        Box ``limit_idx[j]`` draws from ordinal ``first_ordinal + j``.  Boxes
+        are drawn and checked a chunk at a time, stopping at the first chunk
+        with a violation; returns ``(box, witness)`` for the first violating
+        sample of the first violating box, else ``None``.
+        """
+        k = self.resolution_samples
+        dim = low.shape[1]
+        chunk = _limit_chunk_boxes(k)
+        for start in range(0, limit_idx.size, chunk):
+            idx = limit_idx[start : start + chunk]
+            ordinals = np.arange(first_ordinal + start, first_ordinal + start + idx.size)
+            samples = _limit_samples(self.seed, digest, ordinals, low[idx], high[idx], k)
+            viol = self._violation_mask(
+                target, ctables, samples.reshape(-1, dim), sense
+            ).reshape(idx.size, k)
+            has_sample = viol.any(axis=1)
+            if has_sample.any():
+                j = int(np.argmax(has_sample))
+                return int(idx[j]), samples[j, int(np.argmax(viol[j]))].copy()
+        return None
+
     # -------------------------------------------------------------- helpers
+    def _feasible_rows(
+        self, ctables: Sequence[IntervalTable], points: np.ndarray
+    ) -> np.ndarray:
+        """Indices of the points satisfying every constraint.
+
+        Each constraint after the first is evaluated only on the rows every
+        earlier constraint kept; rows are independent, so the answer is the
+        one full evaluation would give.
+        """
+        rows = np.arange(points.shape[0])
+        for index, table in enumerate(ctables):
+            if not rows.size:
+                break
+            values = eval_points(table, points if index == 0 else points[rows])
+            rows = rows[values <= self.tolerance]
+        return rows
+
     def _feasible_mask(
         self, ctables: Sequence[IntervalTable], points: np.ndarray
     ) -> np.ndarray:
-        feasible = np.ones(points.shape[0], dtype=bool)
-        for table in ctables:
-            feasible &= eval_points(table, points) <= self.tolerance
+        feasible = np.zeros(points.shape[0], dtype=bool)
+        feasible[self._feasible_rows(ctables, points)] = True
         return feasible
 
     def _violation_mask(
@@ -510,11 +757,19 @@ class BranchAndBoundVerifier:
         points: np.ndarray,
         sense: str,
     ) -> np.ndarray:
-        feasible = self._feasible_mask(ctables, points)
-        values = eval_points(target, points)
-        if sense == "<=":
-            return feasible & (values > self.tolerance)
-        return feasible & (values <= -self.tolerance)
+        """Feasible points violating the target; the target is evaluated only
+        on feasible rows."""
+        rows = self._feasible_rows(ctables, points)
+        violating = np.zeros(points.shape[0], dtype=bool)
+        if rows.size:
+            values = eval_points(
+                target, points if rows.size == points.shape[0] else points[rows]
+            )
+            if sense == "<=":
+                violating[rows] = values > self.tolerance
+            else:
+                violating[rows] = values <= -self.tolerance
+        return violating
 
     def _first_violation(
         self,
@@ -653,9 +908,17 @@ class BranchAndBoundVerifier:
         margins: Sequence[float],
         points: np.ndarray,
     ) -> np.ndarray:
+        """Points inside some ``{E_i <= margin_i}``; each barrier is evaluated
+        only on the points no earlier barrier covers."""
         covered = np.zeros(points.shape[0], dtype=bool)
-        for table, margin in zip(tables, margins):
-            covered |= eval_points(table, points) <= margin + self.tolerance
+        rows = np.arange(points.shape[0])
+        for index, (table, margin) in enumerate(zip(tables, margins)):
+            if not rows.size:
+                break
+            values = eval_points(table, points if index == 0 else points[rows])
+            inside = values <= margin + self.tolerance
+            covered[rows[inside]] = True
+            rows = rows[~inside]
         return covered
 
 

@@ -9,6 +9,10 @@ per-state loop it replaced:
   ``env.simulate``, evaluating the program and the oracle once per state.
   :func:`repro.core.distance.candidate_distances` must agree with it (same
   generator, same draws, same final generator state).
+* :func:`eval_points_sequential` — a lowered polynomial evaluated by the plain
+  per-monomial left fold, every product recomputed.
+  :func:`repro.certificates.interval_batch.eval_points` shares products across
+  monomial prefixes and must return the same floats.
 """
 
 from __future__ import annotations
@@ -17,10 +21,11 @@ from typing import Callable
 
 import numpy as np
 
+from .certificates.interval_batch import IntervalTable
 from .core.distance import DistanceConfig
 from .envs.base import EnvironmentContext, Trajectory
 
-__all__ = ["trajectory_distance", "program_oracle_distance"]
+__all__ = ["trajectory_distance", "program_oracle_distance", "eval_points_sequential"]
 
 
 def _action_gap(program_action: np.ndarray, oracle_action: np.ndarray, norm: str) -> float:
@@ -70,3 +75,27 @@ def program_oracle_distance(
         )
         total += trajectory_distance(env, trajectory, program, oracle, config)
     return total / config.num_trajectories
+
+
+def eval_points_sequential(table: IntervalTable, points: np.ndarray) -> np.ndarray:
+    """``table``'s polynomial at ``(n, num_vars)`` points by the plain fold.
+
+    Monomials in term order, each product ``x_v0**e0 * x_v1**e1 * ...``
+    multiplied out left to right (powers shared), summed as
+    ``acc + coeff * value``.
+    """
+    points = np.asarray(points, dtype=float)
+    acc = np.zeros(points.shape[0])
+    power_cache: dict = {}
+    for plan, coeff in zip(table.plans, table.coefficients):
+        value = None
+        for var, exp in plan:
+            key = (var, exp)
+            power = power_cache.get(key)
+            if power is None:
+                column = points[:, var]
+                power = column if exp == 1 else np.power(column, float(exp))
+                power_cache[key] = power
+            value = power if value is None else value * power
+        acc = acc + coeff if value is None else acc + coeff * value
+    return acc
