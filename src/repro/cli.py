@@ -870,7 +870,8 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=None,
             help="shard the fleet over N worker processes (counters are "
-            "identical for every N; default: single-process)",
+            "identical for every N; default: single-process); adapt also "
+            "re-verifies branches on N workers (default: one per CPU)",
         )
         sub.add_argument(
             "--shards",

@@ -55,6 +55,7 @@ __all__ = [
     "VerificationConfig",
     "VerificationOutcome",
     "VerificationKernel",
+    "counterexample_record",
     "verify_program",
 ]
 
@@ -121,34 +122,55 @@ class VerificationKernel:
     ) -> VerificationOutcome:
         """Prove (or refute) ``C[P]`` safe over ``init_box`` (default ``S0``)."""
         init_box = init_box if init_box is not None else env.init_region
-        self._resolve_selection()  # unknown names fail fast, even on cache hits
-
-        key = None
-        if self.verdict_cache is not None:
-            key = self.verdict_cache.key(env, program, init_box, self.config)
-        if key is not None:
-            cached = self.verdict_cache.get(key)
-            if cached is not None:
-                outcome, records = cached
-                if recorder is not None:
-                    for record in records:
-                        recorder(record["kind"], np.asarray(record["state"], dtype=float))
-                return replace(outcome, from_cache=True, cache_key=key)
-
+        key = self.key(env, program, init_box)
+        cached = self.lookup(key, recorder=recorder)
+        if cached is not None:
+            return cached
         captured: List[dict] = []
 
         def tee(kind: str, state: np.ndarray) -> None:
-            captured.append(
-                {"kind": kind, "state": np.asarray(state, dtype=float).tolist()}
-            )
+            captured.append(counterexample_record(kind, state))
             if recorder is not None:
                 recorder(kind, state)
 
-        outcome = self._dispatch(env, program, init_box, tee)
-        if key is not None and self._cacheable(outcome):
-            self.verdict_cache.put(key, outcome, captured)
-            outcome = replace(outcome, cache_key=key)
-        return outcome
+        return self.file(key, self._dispatch(env, program, init_box, tee), captured)
+
+    def key(
+        self, env: EnvironmentContext, program: PolicyProgram, init_box: Box
+    ) -> Optional[str]:
+        """The verdict-cache key of a query; ``None`` without a cache (or for
+        uncacheable dynamics)."""
+        self._resolve_selection()  # unknown names fail fast, even on cache hits
+        if self.verdict_cache is None:
+            return None
+        return self.verdict_cache.key(env, program, init_box, self.config)
+
+    def lookup(self, key: Optional[str], recorder=None) -> Optional[VerificationOutcome]:
+        """The cached outcome under ``key``, ``None`` on a miss (or no key).
+
+        A hit re-emits the stored counterexample records through
+        ``recorder``, so cached and fresh runs are observationally identical.
+        """
+        if key is None:
+            return None
+        cached = self.verdict_cache.get(key)
+        if cached is None:
+            return None
+        outcome, records = cached
+        if recorder is not None:
+            for record in records:
+                recorder(record["kind"], np.asarray(record["state"], dtype=float))
+        return replace(outcome, from_cache=True, cache_key=key)
+
+    def file(
+        self, key: Optional[str], outcome: VerificationOutcome, records: List[dict]
+    ) -> VerificationOutcome:
+        """Memoise a freshly proved verdict (and the counterexample records
+        its search emitted) under ``key`` when it is cacheable."""
+        if key is None or not self._cacheable(outcome):
+            return outcome
+        self.verdict_cache.put(key, outcome, records)
+        return replace(outcome, cache_key=key)
 
     def _cacheable(self, outcome: VerificationOutcome) -> bool:
         """Whether a verdict is safe to memoise.
@@ -280,6 +302,11 @@ class VerificationKernel:
             wall_clock_seconds=time.perf_counter() - start,
             disturbance_aware=aware,
         )
+
+
+def counterexample_record(kind: str, state: np.ndarray) -> dict:
+    """The JSON-ready form a verdict cache stores a counterexample in."""
+    return {"kind": kind, "state": np.asarray(state, dtype=float).tolist()}
 
 
 def verify_program(

@@ -4,13 +4,16 @@ The substrate that lets the reproduction hold its execution machinery to the
 same standard as its shields: deterministic scripted faults
 (:class:`FaultPlan`), per-shard/per-slot recovery with deterministic backoff
 (:class:`RetryPolicy`), structured recovery provenance (:class:`FaultLog`),
-and append-only journals (:class:`RowJournal`, :class:`ShardManifest`) that
-make sweeps and campaigns resumable after a SIGKILL.
+the retrying fork executor that parallel CEGIS rounds and certificate
+rechecks run on (:func:`fork_map`), and append-only journals
+(:class:`RowJournal`, :class:`ShardManifest`) that make sweeps and campaigns
+resumable after a SIGKILL.
 
 Named end-to-end chaos scenarios live in :mod:`repro.faults.scenarios` and
 behind the ``repro chaos`` CLI.
 """
 
+from .executor import fork_map
 from .journal import JournalError, RowJournal, ShardManifest
 from .plan import (
     CRASH_EXIT_CODE,
@@ -41,6 +44,7 @@ __all__ = [
     "FaultEvent",
     "FaultLog",
     "RetryPolicy",
+    "fork_map",
     "JournalError",
     "RowJournal",
     "ShardManifest",

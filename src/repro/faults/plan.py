@@ -10,13 +10,14 @@ machinery is always on, never a debug build.
 
 Instrumented sites:
 
-==============  ==============================================================
-``shard.worker``  entry of one shard execution in :mod:`repro.shard.pool`
-``cegis.worker``  entry of one parallel CEGIS branch task
-``store.put``     just before the write-then-rename commit of a store object
-``store.get``     just after a store object is read back
-``solver.lp``     the HiGHS ``linprog`` call sites (barrier / Farkas search)
-==============  ==============================================================
+=================  ===========================================================
+``shard.worker``   entry of one shard execution in :mod:`repro.shard.pool`
+``cegis.worker``   entry of one parallel CEGIS branch task
+``verify.worker``  entry of one forked branch query of a certificate recheck
+``store.put``      just before the write-then-rename commit of a store object
+``store.get``      just after a store object is read back
+``solver.lp``      the HiGHS ``linprog`` call sites (barrier / Farkas search)
+=================  ===========================================================
 
 Fault kinds:
 
@@ -61,7 +62,9 @@ __all__ = [
     "fault_site",
 ]
 
-FAULT_SITES = ("shard.worker", "cegis.worker", "store.put", "store.get", "solver.lp")
+FAULT_SITES = (
+    "shard.worker", "cegis.worker", "verify.worker", "store.put", "store.get", "solver.lp"
+)
 FAULT_KINDS = ("crash", "hang", "oserror", "partial-write", "corrupt-read", "lp-timeout")
 
 #: Exit status of an injected worker crash — distinct from interpreter faults

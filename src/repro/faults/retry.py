@@ -1,12 +1,12 @@
 """Retry policies with deterministic backoff, and the structured fault log.
 
-:class:`RetryPolicy` governs how the shard pool and the parallel CEGIS driver
-recover a failed work unit: how many times it may be re-submitted to a
-(respawned) fork pool before the guaranteed in-process lane takes over, how
-long to back off between waves, and the watchdog deadline after which a
-silent worker is declared hung.  Backoff jitter is *deterministic* — a hash
-of ``(seed, site, index, attempt)`` — so a recovered run is reproducible
-end to end, sleeps included.
+:class:`RetryPolicy` governs how the shard pool and the fork executor
+(parallel CEGIS rounds, certificate rechecks) recover a failed work unit: how
+many times it may be re-submitted to a (respawned) fork pool before the
+guaranteed in-process lane takes over, how long to back off between waves,
+and the watchdog deadline after which a silent worker is declared hung.
+Backoff jitter is *deterministic* — a hash of ``(seed, site, index,
+attempt)`` — so a recovered run is reproducible end to end, sleeps included.
 
 :class:`FaultLog` is the provenance record: one :class:`FaultEvent` per
 recovery decision (site, index, attempt, outcome, backoff), attached to

@@ -1,9 +1,9 @@
 """Named end-to-end chaos scenarios behind ``repro chaos``.
 
-Each scenario drives a real execution surface (a sharded fleet campaign, the
-artifact store, a whole experiment sweep in a subprocess) under a scripted
-:class:`~repro.faults.FaultPlan` and checks the recovery guarantees the
-fault machinery promises:
+Each scenario drives a real execution surface (a sharded fleet campaign, a
+certificate recheck, the artifact store, a whole experiment sweep in a
+subprocess) under a scripted :class:`~repro.faults.FaultPlan` and checks the
+recovery guarantees the fault machinery promises:
 
 ==================  =========================================================
 ``crash-storm``     several shard workers ``os._exit`` mid-campaign; the
@@ -12,6 +12,9 @@ fault machinery promises:
                     hung slot is retired and re-run, results bit-identical
 ``flaky-io``        transient ``OSError`` from shard workers; failed shards
                     retry and the run converges bit-identically
+``recheck-crash``   one forked certificate-recheck worker crashes on every
+                    attempt; its branch is retried, then proved inline, and
+                    the verdicts equal an in-process recheck
 ``corrupt-store``   partial writes and corrupt reads against the shield
                     store; committed objects survive, corruption is detected
                     and quarantined, orphan temp files are swept
@@ -35,6 +38,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -162,6 +166,98 @@ def _scenario_flaky_io(seed: int, workdir: Path) -> Dict[str, Any]:
     )
     retry = RetryPolicy(max_attempts=3, backoff_seconds=0.02, seed=seed)
     return _run_campaign_scenario("flaky-io", seed, plan, retry)
+
+
+# ------------------------------------------------------------- recheck-crash
+def _recheck_query():
+    """A four-branch satellite program (scaled LQR gains, one destabilizing)
+    and a pinned Lyapunov config: milliseconds per branch, one refutation."""
+    from ..baselines import make_lqr_policy
+    from ..core.verification import VerificationConfig
+    from ..envs import make_environment
+    from ..lang import AffineProgram, GuardedProgram, TrueInvariant
+
+    env = make_environment("satellite")
+    gain = make_lqr_policy(env).gain
+    program = GuardedProgram(
+        branches=[
+            (TrueInvariant(env.state_dim), AffineProgram(gain=factor * gain))
+            for factor in (1.0, 0.8, -1.0, 0.6)
+        ]
+    )
+    return env, program, VerificationConfig(backend="lyapunov")
+
+
+def verdict_signature(outcome) -> tuple:
+    """Everything a recheck verdict says about its branch, comparable with ``==``."""
+    from ..lang.serialize import invariant_to_dict
+
+    counterexample = outcome.counterexample
+    return (
+        outcome.verified,
+        outcome.backend,
+        outcome.margin,
+        None if counterexample is None else tuple(np.asarray(counterexample).tolist()),
+        None if outcome.invariant is None else repr(invariant_to_dict(outcome.invariant)),
+    )
+
+
+def _scenario_recheck_crash(seed: int, workdir: Path) -> Dict[str, Any]:
+    from ..runtime.adaptation import recheck_certificate
+    from .retry import FaultLog
+
+    env, program, config = _recheck_query()
+    started = time.perf_counter()
+    _, reference = recheck_certificate(env, program, verification=config, workers=1)
+    reference_seconds = time.perf_counter() - started
+    # ``attempt=None``: the crash re-fires on every fork retry, so the slot
+    # exhausts its attempts and lands on the inline lane.
+    plan = FaultPlan(
+        specs=[FaultSpec(site="verify.worker", kind="crash", index=1, attempt=None)],
+        seed=seed,
+    )
+    log = FaultLog()
+    started = time.perf_counter()
+    with fault_plan(plan), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _, recovered = recheck_certificate(
+            env, program, verification=config, workers=_WORKERS, fault_log=log
+        )
+    faulty_seconds = time.perf_counter() - started
+    events = log.to_dicts()
+    outcomes = {event["outcome"] for event in events if event["index"] == 1}
+    recovery_warnings = [
+        str(warning.message)
+        for warning in caught
+        if issubclass(warning.category, RuntimeWarning)
+        and "recheck recovery" in str(warning.message)
+    ]
+    matches = [verdict_signature(o) for o in recovered] == [
+        verdict_signature(o) for o in reference
+    ]
+    detail = ""
+    if not matches:
+        detail = "verdicts diverged from the in-process recheck"
+    elif outcomes != {"retry", "recovered-inline"}:
+        detail = f"crashed slot was not retried then recovered inline (saw {sorted(outcomes)})"
+    elif len(recovery_warnings) != len(events):
+        detail = "a recovery was not reported as a RuntimeWarning"
+    return {
+        "scenario": "recheck-crash",
+        "seed": seed,
+        "ok": not detail,
+        "detail": detail,
+        "fault_events": events,
+        "warnings": recovery_warnings,
+        "fault_free_seconds": round(reference_seconds, 4),
+        "faulty_seconds": round(faulty_seconds, 4),
+        "overhead": round(faulty_seconds / reference_seconds, 3)
+        if reference_seconds > 0
+        else None,
+        "time_to_recover_seconds": round(
+            max((event["at_seconds"] for event in events), default=0.0), 4
+        ),
+    }
 
 
 # ------------------------------------------------------------- corrupt-store
@@ -418,6 +514,7 @@ SCENARIOS: Dict[str, Callable[[int, Path], Dict[str, Any]]] = {
     "crash-storm": _scenario_crash_storm,
     "hang": _scenario_hang,
     "flaky-io": _scenario_flaky_io,
+    "recheck-crash": _scenario_recheck_crash,
     "corrupt-store": _scenario_corrupt_store,
     "kill-resume": _scenario_kill_resume,
 }

@@ -10,7 +10,12 @@ this module closes that loop for deployed fleets:
 2. **re-check** the deployed shield's certificate under the widened bound by
    re-running invariant inference (:func:`~repro.core.verification.verify_program`)
    for every program branch on a copy of the environment whose
-   ``disturbance_bound`` is the estimate;
+   ``disturbance_bound`` is the estimate.  The branch queries are independent
+   and run concurrently on the retrying fork executor
+   (:func:`repro.faults.fork_map`), one per usable CPU unless ``workers``
+   says otherwise.  Verdict-cache hits are served, and fresh verdicts filed,
+   by the parent in branch order, so every worker count gives bit-identical
+   outcomes and cache counters;
 3. on failure, **re-synthesize** through the store-backed
    :class:`~repro.store.SynthesisService` against the widened environment,
    persisting the repaired shield with provenance linking it to the estimate
@@ -21,15 +26,23 @@ this module closes that loop for deployed fleets:
 from __future__ import annotations
 
 import copy
+import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..core.shield import Shield
-from ..core.verification import VerificationConfig, VerificationOutcome, verify_program
+from ..core.verification import (
+    VerificationConfig,
+    VerificationKernel,
+    VerificationOutcome,
+    counterexample_record,
+    verify_program,
+)
 from ..envs.base import EnvironmentContext
 from ..envs.disturbance import DisturbanceEstimate, DisturbanceModel
+from ..faults import FaultLog, fork_map
 from .monitored import FleetMonitorReport, MonitoredBatchedCampaign
 
 __all__ = [
@@ -84,21 +97,31 @@ def widened_environment(env: EnvironmentContext, bound: np.ndarray) -> Environme
     return widened
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
+
+
 def recheck_certificate(
     env: EnvironmentContext,
     shield: "Shield | object",
     verification: Optional[VerificationConfig] = None,
     verdict_cache=None,
     regions: Optional[Sequence] = None,
+    workers: Optional[int] = None,
+    fault_log: Optional[FaultLog] = None,
 ) -> tuple:
     """Re-run invariant inference for every deployed program branch on ``env``.
 
     ``shield`` may be a deployed :class:`~repro.core.shield.Shield` or a bare
     (possibly guarded) program — anything else with a ``program`` attribute
-    works too.  Returns ``(all_ok, outcomes)``.  A branch whose invariant can
-    no longer be re-derived under ``env.disturbance_bound`` means the deployed
-    certificate does not extend to the disturbances actually being
-    experienced — the signal that triggers re-synthesis.
+    works too.  Returns ``(all_ok, outcomes)``, one outcome per branch in
+    branch order.  A branch whose invariant can no longer be re-derived under
+    ``env.disturbance_bound`` means the deployed certificate does not extend
+    to the disturbances actually being experienced — the signal that
+    triggers re-synthesis.
 
     The recheck just asks the verification kernel: the portfolio only ever
     dispatches disturbance-aware backends on a disturbed environment (the
@@ -108,25 +131,62 @@ def recheck_certificate(
     service's store-backed cache) makes rechecks over unchanged shields free;
     ``regions`` optionally supplies each branch's original synthesis region
     (falling back to the environment's full initial region).
+
+    The branch queries are independent, so the ones the cache cannot answer
+    are proved concurrently on :func:`repro.faults.fork_map` (fault site
+    ``verify.worker``; recoveries land in ``fault_log`` and warn).
+    ``workers=None`` uses every usable CPU, capped at the number of such
+    queries; ``workers=1`` proves them in-process.  The parent serves cache
+    hits itself and files every fresh verdict in branch order, so outcomes
+    and the cache's hits, misses, puts and entries are identical for every
+    worker count.
     """
     verification = verification or VerificationConfig()
     program = getattr(shield, "program", shield)
     branches = getattr(program, "branches", None)
     programs = [branch_program for _, branch_program in branches] if branches else [program]
-    outcomes = []
-    for index, program in enumerate(programs):
-        init_box = None
-        if regions is not None and index < len(regions):
-            init_box = regions[index]
-        outcomes.append(
-            verify_program(
-                env,
-                program,
-                init_box=init_box,
-                config=verification,
-                verdict_cache=verdict_cache,
-            )
+    boxes = [
+        regions[index] if regions is not None and index < len(regions) else env.init_region
+        for index in range(len(programs))
+    ]
+    kernel = VerificationKernel(verification, verdict_cache=verdict_cache)
+    keys = [kernel.key(env, branch_program, box) for branch_program, box in zip(programs, boxes)]
+    outcomes: List[Optional[VerificationOutcome]] = [None] * len(programs)
+    misses: List[int] = []
+    # A branch repeating an earlier miss's query is looked up only after that
+    # miss is filed — where a sequential recheck would find it in the cache.
+    repeats: List[int] = []
+    for index, key in enumerate(keys):
+        if key is not None and any(keys[miss] == key for miss in misses):
+            repeats.append(index)
+            continue
+        outcomes[index] = kernel.lookup(key)
+        if outcomes[index] is None:
+            misses.append(index)
+
+    def prove(index: int):
+        records: List[dict] = []
+        outcome = verify_program(
+            env,
+            programs[index],
+            init_box=boxes[index],
+            config=verification,
+            recorder=lambda kind, state: records.append(counterexample_record(kind, state)),
         )
+        return outcome, records
+
+    proved = fork_map(
+        prove,
+        misses,
+        _usable_cpus() if workers is None else workers,
+        site="verify.worker",
+        fault_log=fault_log,
+        label="parallel recheck",
+    )
+    for index, (outcome, records) in zip(misses, proved):
+        outcomes[index] = kernel.file(keys[index], outcome, records)
+    for index in repeats:
+        outcomes[index] = kernel.verify(env, programs[index], boxes[index])
     return all(outcome.verified for outcome in outcomes), outcomes
 
 
@@ -154,6 +214,9 @@ def adapt_shield(
     a service the loop stops after the certificate re-check (monitoring-only
     mode).  ``environment`` is the registry name recorded in the repaired
     shield's provenance; ``prior_key`` links it to the artifact it replaces.
+    ``workers`` shards the monitored fleet and is forwarded to
+    :func:`recheck_certificate` (``None``: a single-process fleet and one
+    recheck worker per usable CPU; ``1``: everything in-process).
     """
     rng = rng or np.random.default_rng()
     env = shield.env
@@ -181,6 +244,7 @@ def adapt_shield(
         shield,
         verification=verification_config,
         verdict_cache=getattr(service, "verdict_cache", None),
+        workers=workers,
     )
     outcome = AdaptationOutcome(
         report=report,

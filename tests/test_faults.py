@@ -22,6 +22,7 @@ from repro.envs import make_environment
 from repro.faults import (
     CRASH_EXIT_CODE,
     ENV_VAR,
+    FaultLog,
     FaultPlan,
     FaultSpec,
     RetryPolicy,
@@ -32,6 +33,7 @@ from repro.faults import (
     deactivate,
     fault_plan,
     fault_site,
+    fork_map,
     run_scenario,
 )
 from repro.lang import AffineProgram, GuardedProgram, Invariant, InvariantUnion
@@ -383,6 +385,35 @@ class TestCEGISRecovery:
         assert all(e["site"] == "cegis.worker" for e in recovered.fault_log)
 
 
+# ------------------------------------------------------------ fork executor
+class TestForkMap:
+    def test_hung_slot_hits_watchdog_then_recovers_inline_in_slot_order(self):
+        plan = FaultPlan(
+            specs=[
+                FaultSpec(
+                    site="verify.worker", kind="hang", index=1, attempt=None, delay_seconds=1.0
+                )
+            ]
+        )
+        policy = RetryPolicy(max_attempts=2, backoff_seconds=0.01, deadline_seconds=0.3)
+        log = FaultLog()
+        with fault_plan(plan), pytest.warns(RuntimeWarning, match="watchdog"):
+            results = fork_map(
+                lambda item: item * item,
+                range(4),
+                2,
+                site="verify.worker",
+                policy=policy,
+                fault_log=log,
+            )
+        assert results == [0, 1, 4, 9]
+        assert [(e.index, e.attempt, e.outcome) for e in log] == [
+            (1, 0, "retry"),
+            (1, 1, "recovered-inline"),
+        ]
+        assert all("watchdog" in e.detail for e in log)
+
+
 # ------------------------------------------------------------------- journals
 class TestJournals:
     def test_row_journal_round_trip_preserves_key_order(self, tmp_path):
@@ -651,6 +682,14 @@ class TestChaos:
         assert result["fault_events"]
         assert result["time_to_recover_seconds"] > 0
 
+    def test_recheck_crash_scenario(self, tmp_path):
+        result = run_scenario("recheck-crash", seed=0, workdir=tmp_path)
+        assert result["ok"], result["detail"]
+        crashed = [e for e in result["fault_events"] if e["index"] == 1]
+        assert [e["outcome"] for e in crashed][-1] == "recovered-inline"
+        assert all(e["site"] == "verify.worker" for e in result["fault_events"])
+        assert len(result["warnings"]) == len(result["fault_events"])
+
     def test_corrupt_store_scenario(self, tmp_path):
         result = run_scenario("corrupt-store", seed=0, workdir=tmp_path)
         assert result["ok"], result["detail"]
@@ -665,7 +704,9 @@ class TestCLI:
     def test_chaos_list(self, capsys):
         assert cli_main(["chaos", "--list"]) == 0
         out = capsys.readouterr().out
-        for name in ("crash-storm", "hang", "flaky-io", "corrupt-store", "kill-resume"):
+        for name in (
+            "crash-storm", "hang", "flaky-io", "recheck-crash", "corrupt-store", "kill-resume"
+        ):
             assert name in out
 
     def test_store_verify_fsck(self, tmp_path, capsys):
