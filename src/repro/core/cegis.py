@@ -9,8 +9,17 @@ succeeds.  The loop terminates when the union of invariants covers the whole
 initial region ``S0`` (checked by the branch-and-bound cover query standing in
 for the paper's Z3 call), yielding the guarded program of Theorem 4.2.
 
-Two service-layer features sit on top of the paper's algorithm:
+Three service-layer features sit on top of the paper's algorithm:
 
+* the shrink loop verifies its candidates **speculatively**: candidate *i+1*
+  needs only candidate *i*'s synthesized parameters, not its verdict, so
+  while one candidate's proof runs, the next ones are synthesized here and
+  proved on forked :class:`repro.faults.ForkQueue` slots, one per usable CPU.
+  Verdicts are consumed in shrink order with every side effect (prune count,
+  replay, verdict-cache lookup and filing, counterexample records, probes)
+  replayed there, and slots behind an accepted candidate are killed, so the
+  result is bit-identical to the one-at-a-time loop that runs with one
+  usable CPU, without ``fork``, or inside a forked round slot;
 * ``workers=N`` runs a round-based parallel driver: each round picks up to
   ``N`` spread-out uncovered initial states and synthesizes + verifies a
   branch for each concurrently on :func:`repro.faults.fork_map`, the
@@ -30,14 +39,16 @@ Two service-layer features sit on top of the paper's algorithm:
 
 from __future__ import annotations
 
+import itertools
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..analysis.refute import statically_refuted
-from ..faults import FaultLog, RetryPolicy, fork_map
+from ..faults import FaultLog, ForkQueue, RetryPolicy, fork_map
 from ..certificates.regions import Box
 from ..certificates.smt import BranchAndBoundVerifier
 from ..envs.base import EnvironmentContext
@@ -45,8 +56,14 @@ from ..lang.invariant import Invariant, InvariantUnion
 from ..lang.program import GuardedProgram, PolicyProgram
 from ..lang.sketch import AffineSketch, ProgramSketch
 from .replay import CounterexampleCache, CounterexampleRecord, emit_counterexample
-from .synthesis import ProgramSynthesizer, SynthesisConfig
-from .verification import VerificationConfig, VerificationOutcome, verify_program
+from .synthesis import ProgramSynthesizer, SynthesisConfig, SynthesisResult
+from .verification import (
+    VerificationConfig,
+    VerificationKernel,
+    VerificationOutcome,
+    counterexample_record,
+    verify_program,
+)
 
 __all__ = ["CEGISConfig", "CEGISBranch", "CEGISResult", "CEGISLoop", "run_cegis"]
 
@@ -509,9 +526,54 @@ class CEGISLoop:
     def _synthesize_branch(
         self, counterexample: np.ndarray, round_index: int
     ) -> Optional[CEGISBranch]:
-        """The inner do-while loop of Algorithm 2 (lines 5-17)."""
+        """The inner do-while loop of Algorithm 2 (lines 5-17), verified speculatively.
+
+        Candidate *i+1* depends only on candidate *i*'s synthesized
+        parameters, never on its verdict, and a proof is a pure function of
+        (program, region, config).  So the lookahead synthesizes and
+        pre-filters candidates in shrink order in this process and forks each
+        one that needs a proof onto a :class:`~repro.faults.ForkQueue` slot,
+        keeping up to one per usable CPU in flight.  Verdicts are then taken
+        strictly in shrink order, and each candidate's sequential side effects
+        are replayed at that point (:meth:`_settle`).  Once a candidate is
+        accepted, the later slots are killed unread and the lookahead's extra
+        syntheses are discarded.  The accepted branch, the replay and verdict
+        caches, their counters and the counterexample stream are therefore
+        identical to the one-at-a-time loop's.  That loop is what runs with
+        one usable CPU, without ``fork``, or inside a forked round slot.
+        """
+        kernel = VerificationKernel(self.config.verification, verdict_cache=self.verdict_cache)
+        candidates = self._shrink_candidates(counterexample, round_index, kernel)
+        lookahead: Deque[_Candidate] = deque()
+        with ForkQueue(
+            self._prove,
+            site="verify.worker",
+            policy=self.retry_policy,
+            fault_log=self._fault_log,
+            label="speculative shrink",
+            started_at=self._started_at,
+        ) as proofs:
+            while True:
+                for candidate in itertools.islice(candidates, proofs.depth - len(lookahead)):
+                    if not candidate.refuted and not kernel.answers(candidate.key):
+                        candidate.slot = proofs.submit(candidate)
+                    lookahead.append(candidate)
+                if not lookahead:
+                    return None
+                branch = self._settle(lookahead.popleft(), counterexample, kernel, proofs)
+                if branch is not None:
+                    return branch
+
+    def _shrink_candidates(
+        self, counterexample: np.ndarray, round_index: int, kernel: VerificationKernel
+    ) -> Iterator[_Candidate]:
+        """Lines 5-8 of Algorithm 2 for every radius the shrink loop can reach.
+
+        The radius halves after every rejected candidate and the loop stops
+        below ``min_radius_fraction`` of the diameter, so the schedule is
+        fixed in advance; only acceptance cuts it short.
+        """
         cfg = self.config
-        cache = self.replay_cache
         # r* starts at Diameter(C.S0) (Algorithm 2, line 5), so the first shrunk
         # region around any counterexample still covers all of S0.
         diameter = 2.0 * self.env.init_region.radius
@@ -539,66 +601,110 @@ class CEGISLoop:
                 init_region=region, initial_parameters=previous_parameters
             )
             previous_parameters = synthesis_result.parameters
-            refutation = (
+            refuted = cfg.static_prefilter and (
                 statically_refuted(
                     self.env,
                     synthesis_result.program,
                     region,
                     steps=cfg.static_prefilter_steps,
                 )
-                if cfg.static_prefilter
-                else None
+                is not None
             )
-            if refutation is not None:
-                # The interval iterates prove every trajectory from the
-                # region escapes the safe box, so no certificate backend
-                # could have verified this candidate and a replay hit would
-                # only have reconfirmed it: shrink exactly as the unfiltered
-                # loop would after the (now skipped) failed verification.
-                self._pruned += 1
-                radius /= 2.0
-                if radius < min_radius:
-                    break
-                continue
-            witness = (
-                cache.replay(self.env, synthesis_result.program, region)
-                if cache is not None
-                else None
-            )
-            if witness is None:
-                outcome: VerificationOutcome = verify_program(
-                    self.env,
-                    synthesis_result.program,
-                    init_box=region,
-                    config=cfg.verification,
-                    recorder=self._record_verification_counterexample,
-                    verdict_cache=self.verdict_cache,
-                )
-                if outcome.verified and outcome.invariant is not None:
-                    return CEGISBranch(
-                        program=synthesis_result.program,
-                        invariant=outcome.invariant,
-                        region=region,
-                        counterexample=np.asarray(counterexample, dtype=float),
-                        synthesis_seconds=synthesis_result.wall_clock_seconds,
-                        verification_seconds=outcome.wall_clock_seconds,
-                        verification_backend=outcome.backend,
-                        shrink_iterations=shrink_iteration,
-                    )
-                if cache is not None:
-                    cache.probe(
-                        self.env,
-                        synthesis_result.program,
-                        region,
-                        extra_points=(counterexample, outcome.counterexample),
-                    )
+            key = None if refuted else kernel.key(self.env, synthesis_result.program, region)
+            yield _Candidate(shrink_iteration, region, synthesis_result, refuted, key)
+            radius /= 2.0
+            if radius < min_radius:
+                return
+
+    def _settle(
+        self,
+        candidate: _Candidate,
+        counterexample: np.ndarray,
+        kernel: VerificationKernel,
+        proofs: ForkQueue,
+    ) -> Optional[CEGISBranch]:
+        """Lines 9-16 of Algorithm 2 for one candidate, in shrink order.
+
+        The side effects happen in the sequential loop's order: prune count,
+        replay, verdict lookup, counterexample records, verdict filing, probe.
+        Returns the branch if the candidate is accepted, ``None`` to shrink.
+        """
+        cache = self.replay_cache
+        program, region = candidate.synthesis.program, candidate.region
+        if candidate.refuted:
+            # The interval iterates prove every trajectory from the region
+            # escapes the safe box, so no certificate backend could have
+            # verified this candidate and a replay hit would only have
+            # reconfirmed it: shrink exactly as the unfiltered loop would
+            # after the (now skipped) failed verification.
+            self._pruned += 1
+            return None
+        if cache is not None and cache.replay(self.env, program, region) is not None:
             # Replay hit: the candidate provably reaches unsafe from a cached
             # witness, so the certificate search would have failed — shrink
             # exactly as the sequential, cache-off loop would.
-            radius /= 2.0
-            if radius < min_radius:
-                break
+            if candidate.slot is not None:
+                proofs.drop(candidate.slot)
+            return None
+        outcome = kernel.lookup(candidate.key, recorder=self._record_verification_counterexample)
+        if outcome is None:
+            outcome, records = (
+                proofs.take(candidate.slot) if candidate.slot is not None else self._prove(candidate)
+            )
+            for record in records:
+                self._record_verification_counterexample(
+                    record["kind"], np.asarray(record["state"], dtype=float)
+                )
+            outcome = kernel.file(candidate.key, outcome, records)
+        elif candidate.slot is not None:
+            proofs.drop(candidate.slot)
+        if outcome.verified and outcome.invariant is not None:
+            return CEGISBranch(
+                program=program,
+                invariant=outcome.invariant,
+                region=region,
+                counterexample=np.asarray(counterexample, dtype=float),
+                synthesis_seconds=candidate.synthesis.wall_clock_seconds,
+                verification_seconds=outcome.wall_clock_seconds,
+                verification_backend=outcome.backend,
+                shrink_iterations=candidate.shrink_iteration,
+            )
+        if cache is not None:
+            cache.probe(
+                self.env,
+                program,
+                region,
+                extra_points=(counterexample, outcome.counterexample),
+            )
         return None
+
+    def _prove(self, candidate: _Candidate) -> Tuple[VerificationOutcome, List[dict]]:
+        """A cache-free proof of one candidate and the counterexample records
+        its search emitted; runs on a speculative worker or in-process."""
+        records: List[dict] = []
+        outcome = verify_program(
+            self.env,
+            candidate.synthesis.program,
+            init_box=candidate.region,
+            config=self.config.verification,
+            recorder=lambda kind, state: records.append(counterexample_record(kind, state)),
+        )
+        return outcome, records
+
+
+@dataclass
+class _Candidate:
+    """One shrink candidate as the lookahead built it."""
+
+    shrink_iteration: int
+    region: Box
+    synthesis: SynthesisResult
+    #: Statically refuted by the interval pre-filter (never proved).
+    refuted: bool
+    #: Verdict-cache key of its proof query (``None`` without a cache).
+    key: Optional[str]
+    #: Its :class:`~repro.faults.ForkQueue` slot, if a proof was submitted.
+    slot: Optional[int] = None
 
 
 def run_cegis(

@@ -100,8 +100,8 @@ class VerificationKernel:
     """Capability-filtered portfolio dispatch over the backend registry.
 
     ``verdict_cache`` (a :class:`~repro.store.VerdictCache`, or anything with
-    the same ``key``/``get``/``put`` shape) memoises whole verdicts; ``None``
-    disables caching.
+    the same ``key``/``get``/``put``/``in`` shape) memoises whole verdicts;
+    ``None`` disables caching.
     """
 
     def __init__(
@@ -161,6 +161,11 @@ class VerificationKernel:
             for record in records:
                 recorder(record["kind"], np.asarray(record["state"], dtype=float))
         return replace(outcome, from_cache=True, cache_key=key)
+
+    def answers(self, key: Optional[str]) -> bool:
+        """Whether the cache holds a verdict under ``key``, without counting a
+        hit or a miss: lets a caller skip a proof the cache will serve."""
+        return key is not None and key in self.verdict_cache
 
     def file(
         self, key: Optional[str], outcome: VerificationOutcome, records: List[dict]

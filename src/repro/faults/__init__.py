@@ -4,8 +4,9 @@ The substrate that lets the reproduction hold its execution machinery to the
 same standard as its shields: deterministic scripted faults
 (:class:`FaultPlan`), per-shard/per-slot recovery with deterministic backoff
 (:class:`RetryPolicy`), structured recovery provenance (:class:`FaultLog`),
-the retrying fork executor that parallel CEGIS rounds and certificate
-rechecks run on (:func:`fork_map`), and append-only journals
+the retrying fork executor that parallel CEGIS rounds, certificate rechecks
+(:func:`fork_map`) and speculative shrink verification (:class:`ForkQueue`)
+run on, and append-only journals
 (:class:`RowJournal`, :class:`ShardManifest`) that make sweeps and campaigns
 resumable after a SIGKILL.
 
@@ -13,7 +14,7 @@ Named end-to-end chaos scenarios live in :mod:`repro.faults.scenarios` and
 behind the ``repro chaos`` CLI.
 """
 
-from .executor import fork_map
+from .executor import ForkQueue, fork_map, usable_cpus
 from .journal import JournalError, RowJournal, ShardManifest
 from .plan import (
     CRASH_EXIT_CODE,
@@ -44,7 +45,9 @@ __all__ = [
     "FaultEvent",
     "FaultLog",
     "RetryPolicy",
+    "ForkQueue",
     "fork_map",
+    "usable_cpus",
     "JournalError",
     "RowJournal",
     "ShardManifest",

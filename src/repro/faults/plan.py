@@ -13,7 +13,8 @@ Instrumented sites:
 =================  ===========================================================
 ``shard.worker``   entry of one shard execution in :mod:`repro.shard.pool`
 ``cegis.worker``   entry of one parallel CEGIS branch task
-``verify.worker``  entry of one forked branch query of a certificate recheck
+``verify.worker``  entry of one forked proof: a certificate-recheck branch
+                   query or a speculative shrink candidate of Algorithm 2
 ``store.put``      just before the write-then-rename commit of a store object
 ``store.get``      just after a store object is read back
 ``solver.lp``      the HiGHS ``linprog`` call sites (barrier / Farkas search)

@@ -1,10 +1,11 @@
 """Retry policies with deterministic backoff, and the structured fault log.
 
 :class:`RetryPolicy` governs how the shard pool and the fork executor
-(parallel CEGIS rounds, certificate rechecks) recover a failed work unit: how
-many times it may be re-submitted to a (respawned) fork pool before the
-guaranteed in-process lane takes over, how long to back off between waves,
-and the watchdog deadline after which a silent worker is declared hung.
+(parallel CEGIS rounds, certificate rechecks, speculative shrink proofs)
+recover a failed work unit: how many times it may be re-submitted to a
+(respawned) fork worker before the guaranteed in-process lane takes over,
+how long to back off between attempts, and the watchdog deadline after which
+a silent worker is declared hung, killed and reaped.
 Backoff jitter is *deterministic* — a hash of ``(seed, site, index,
 attempt)`` — so a recovered run is reproducible end to end, sleeps included.
 
@@ -38,7 +39,8 @@ class RetryPolicy:
     backoff_multiplier: float = 2.0
     #: Deterministic jitter amplitude as a fraction of the backoff (±).
     jitter_fraction: float = 0.1
-    #: Watchdog deadline for one shard's slot of a parallel wave; ``None``
+    #: Watchdog deadline for one shard's slot of a parallel wave (for a
+    #: ``ForkQueue`` slot: one attempt, counted from its fork); ``None``
     #: disables the watchdog (a hung worker then blocks until it returns).
     deadline_seconds: Optional[float] = None
     seed: int = 0

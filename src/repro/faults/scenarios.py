@@ -15,6 +15,10 @@ recovery guarantees the fault machinery promises:
 ``recheck-crash``   one forked certificate-recheck worker crashes on every
                     attempt; its branch is retried, then proved inline, and
                     the verdicts equal an in-process recheck
+``shrink-crash``    one speculative shrink-verification worker of Algorithm
+                    2 crashes on every attempt; its proof is retried, then
+                    run inline, and the synthesized shield equals an
+                    in-process run's
 ``corrupt-store``   partial writes and corrupt reads against the shield
                     store; committed objects survive, corruption is detected
                     and quarantined, orphan temp files are swept
@@ -244,6 +248,109 @@ def _scenario_recheck_crash(seed: int, workdir: Path) -> Dict[str, Any]:
         detail = "a recovery was not reported as a RuntimeWarning"
     return {
         "scenario": "recheck-crash",
+        "seed": seed,
+        "ok": not detail,
+        "detail": detail,
+        "fault_events": events,
+        "warnings": recovery_warnings,
+        "fault_free_seconds": round(reference_seconds, 4),
+        "faulty_seconds": round(faulty_seconds, 4),
+        "overhead": round(faulty_seconds / reference_seconds, 3)
+        if reference_seconds > 0
+        else None,
+        "time_to_recover_seconds": round(
+            max((event["at_seconds"] for event in events), default=0.0), 4
+        ),
+    }
+
+
+# -------------------------------------------------------------- shrink-crash
+def _shrink_query():
+    """Magnetic pointer under its LQR teacher with a pinned Lyapunov config:
+    a first branch found on the fifth shrink candidate, then a round no
+    candidate verifies, all in under a second."""
+    from ..baselines import make_lqr_policy
+    from ..core import CEGISConfig, DistanceConfig, SynthesisConfig, VerificationConfig
+    from ..envs import make_environment
+
+    env = make_environment("magnetic_pointer")
+    config = CEGISConfig(
+        synthesis=SynthesisConfig(
+            iterations=3,
+            distance=DistanceConfig(num_trajectories=1, trajectory_length=30),
+            seed=0,
+        ),
+        verification=VerificationConfig(backend="lyapunov"),
+        max_counterexamples=4,
+        seed=0,
+    )
+    return env, make_lqr_policy(env), config
+
+
+def cegis_signature(result) -> tuple:
+    """Everything a CEGIS result says about its shield, comparable with ``==``."""
+    from ..lang.serialize import invariant_union_to_dict, program_fingerprint
+
+    return (
+        result.covered,
+        result.failure_reason,
+        program_fingerprint(result.program) if result.branches else None,
+        repr(invariant_union_to_dict(result.invariant)) if result.branches else None,
+        [branch.shrink_iterations for branch in result.branches],
+        result.rounds,
+        result.counterexamples_used,
+        result.cache_hits,
+        result.cache_misses,
+        result.cache_records,
+        result.statically_pruned,
+    )
+
+
+def _scenario_shrink_crash(seed: int, workdir: Path) -> Dict[str, Any]:
+    from unittest import mock
+
+    from ..core import CEGISLoop
+    from . import executor
+
+    env, oracle, config = _shrink_query()
+    # Speculation is one slot per usable CPU; pin the width so the drill
+    # forks the same slots on every host (1 = the in-process reference).
+    started = time.perf_counter()
+    with mock.patch.object(executor, "usable_cpus", lambda: 1):
+        reference = CEGISLoop(env, oracle, config=config).run()
+    reference_seconds = time.perf_counter() - started
+    # ``attempt=None``: slot 1 (each branch's second proof) crashes on every
+    # fork retry, so it exhausts its attempts and lands on the inline lane.
+    plan = FaultPlan(
+        specs=[FaultSpec(site="verify.worker", kind="crash", index=1, attempt=None)],
+        seed=seed,
+    )
+    retry = RetryPolicy(max_attempts=3, backoff_seconds=0.02, seed=seed)
+    started = time.perf_counter()
+    with fault_plan(plan), warnings.catch_warnings(record=True) as caught, mock.patch.object(
+        executor, "usable_cpus", lambda: _WORKERS
+    ):
+        warnings.simplefilter("always")
+        recovered = CEGISLoop(env, oracle, config=config, retry_policy=retry).run()
+    faulty_seconds = time.perf_counter() - started
+    events = recovered.fault_log
+    recovery_warnings = [
+        str(warning.message)
+        for warning in caught
+        if issubclass(warning.category, RuntimeWarning)
+        and "speculative shrink recovery" in str(warning.message)
+    ]
+    detail = ""
+    if cegis_signature(recovered) != cegis_signature(reference):
+        detail = "the shield diverged from the in-process run"
+    elif {event["outcome"] for event in events} != {"retry", "recovered-inline"} or any(
+        event["index"] != 1 or event["site"] != "verify.worker" for event in events
+    ):
+        detail = f"slot 1 was not retried then recovered inline (saw {events})"
+    elif len(recovery_warnings) != len(events):
+        detail = "a recovery was not reported as a RuntimeWarning"
+    return {
+        "scenario": "shrink-crash",
         "seed": seed,
         "ok": not detail,
         "detail": detail,
@@ -515,6 +622,7 @@ SCENARIOS: Dict[str, Callable[[int, Path], Dict[str, Any]]] = {
     "hang": _scenario_hang,
     "flaky-io": _scenario_flaky_io,
     "recheck-crash": _scenario_recheck_crash,
+    "shrink-crash": _scenario_shrink_crash,
     "corrupt-store": _scenario_corrupt_store,
     "kill-resume": _scenario_kill_resume,
 }

@@ -26,7 +26,6 @@ this module closes that loop for deployed fleets:
 from __future__ import annotations
 
 import copy
-import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -95,13 +94,6 @@ def widened_environment(env: EnvironmentContext, bound: np.ndarray) -> Environme
     widened = copy.deepcopy(env)
     widened.disturbance_bound = np.asarray(bound, dtype=float)
     return widened
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def recheck_certificate(
@@ -178,7 +170,7 @@ def recheck_certificate(
     proved = fork_map(
         prove,
         misses,
-        _usable_cpus() if workers is None else workers,
+        workers,
         site="verify.worker",
         fault_log=fault_log,
         label="parallel recheck",

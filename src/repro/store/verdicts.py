@@ -167,6 +167,16 @@ class VerdictCache:
         self.hits += 1
         return outcome, list(entry.get("records", []))
 
+    def __contains__(self, key: str) -> bool:
+        """Whether ``key`` has an entry, without counting a hit or a miss.
+
+        An on-disk entry is not loaded, so a corrupt one still counts as
+        present here and only :meth:`get` finds it out.
+        """
+        return key in self._memory or (
+            self.root is not None and key not in self._corrupt and self._path_for(key).is_file()
+        )
+
     def put(
         self,
         key: str,

@@ -11,7 +11,13 @@ from its journal renders a byte-identical report.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +31,7 @@ from repro.faults import (
     FaultLog,
     FaultPlan,
     FaultSpec,
+    ForkQueue,
     RetryPolicy,
     RowJournal,
     ShardManifest,
@@ -413,6 +420,124 @@ class TestForkMap:
         ]
         assert all("watchdog" in e.detail for e in log)
 
+    def test_watchdog_kills_and_reaps_a_hung_worker(self):
+        parent = os.getpid()
+
+        def hangs_in_a_worker(item):
+            if os.getpid() != parent:
+                time.sleep(20.0)
+            return item
+
+        before = set(multiprocessing.active_children())
+        log = FaultLog()
+        started = time.perf_counter()
+        with pytest.warns(RuntimeWarning, match="watchdog"):
+            results = fork_map(
+                hangs_in_a_worker,
+                range(2),
+                2,
+                site="verify.worker",
+                policy=RetryPolicy(max_attempts=1, deadline_seconds=0.5),
+                fault_log=log,
+            )
+        assert results == [0, 1]
+        assert time.perf_counter() - started < 5.0
+        assert set(multiprocessing.active_children()) <= before
+        assert [(e.index, e.attempt, e.outcome) for e in log] == [
+            (0, 0, "recovered-inline"),
+            (1, 0, "recovered-inline"),
+        ]
+
+    def test_interpreter_exits_promptly_after_a_watchdog_kill(self):
+        script = textwrap.dedent(
+            """
+            import os, time
+            from repro.faults import RetryPolicy, fork_map
+
+            parent = os.getpid()
+
+            def hangs_in_a_worker(item):
+                if os.getpid() != parent:
+                    time.sleep(20.0)
+                return item
+
+            print(fork_map(
+                hangs_in_a_worker, [0, 1], 2, site="verify.worker",
+                policy=RetryPolicy(max_attempts=1, deadline_seconds=0.5),
+            ))
+            """
+        )
+        source = Path(__file__).resolve().parents[1] / "src"
+        started = time.perf_counter()
+        completed = subprocess.run(
+            [sys.executable, "-W", "ignore", "-c", script],
+            env={**os.environ, "PYTHONPATH": str(source)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "[0, 1]"
+        assert time.perf_counter() - started < 10.0
+
+
+class TestForkQueue:
+    def test_slots_are_taken_in_any_order_and_a_crash_recovers_inline(self):
+        plan = FaultPlan(
+            specs=[FaultSpec(site="verify.worker", kind="crash", index=1, attempt=None)]
+        )
+        policy = RetryPolicy(max_attempts=2, backoff_seconds=0.01)
+        log = FaultLog()
+        with fault_plan(plan), pytest.warns(RuntimeWarning, match="speculation recovery"):
+            with ForkQueue(
+                lambda item: item * item, 2, site="verify.worker", policy=policy,
+                fault_log=log, label="speculation",
+            ) as queue:
+                assert queue.forking and queue.depth == 2
+                slots = [queue.submit(item) for item in (3, 4)]
+                assert [queue.take(slot) for slot in reversed(slots)] == [16, 9]
+        assert [(e.index, e.attempt, e.outcome) for e in log] == [
+            (1, 0, "retry"),
+            (1, 1, "recovered-inline"),
+        ]
+        assert all(f"code {CRASH_EXIT_CODE}" in e.detail for e in log)
+
+    def test_dropped_and_unread_slots_are_killed_not_awaited(self):
+        parent = os.getpid()
+
+        def hangs_in_a_worker(item):
+            if os.getpid() != parent:
+                time.sleep(20.0)
+            return item
+
+        before = set(multiprocessing.active_children())
+        started = time.perf_counter()
+        with ForkQueue(hangs_in_a_worker, 3, site="verify.worker") as queue:
+            first = queue.submit(0)
+            queue.submit(1)
+            queue.submit(2)
+            queue.drop(first)
+        assert time.perf_counter() - started < 5.0
+        assert set(multiprocessing.active_children()) <= before
+
+    def test_a_task_error_is_raised_in_the_caller(self):
+        def fails(item):
+            raise ValueError(f"bad item {item}")
+
+        with ForkQueue(fails, 2, site="verify.worker") as queue:
+            slot = queue.submit(7)
+            with pytest.raises(ValueError, match="bad item 7"):
+                queue.take(slot)
+
+    def test_one_worker_runs_each_slot_in_process_when_taken(self):
+        calls = []
+        with ForkQueue(calls.append, 1, site="verify.worker") as queue:
+            assert not queue.forking and queue.depth == 1
+            slot = queue.submit(5)
+            assert calls == []
+            queue.take(slot)
+        assert calls == [5]
+
 
 # ------------------------------------------------------------------- journals
 class TestJournals:
@@ -690,6 +815,15 @@ class TestChaos:
         assert all(e["site"] == "verify.worker" for e in result["fault_events"])
         assert len(result["warnings"]) == len(result["fault_events"])
 
+    def test_shrink_crash_scenario(self, tmp_path):
+        result = run_scenario("shrink-crash", seed=0, workdir=tmp_path)
+        assert result["ok"], result["detail"]
+        assert [e["outcome"] for e in result["fault_events"]][-1] == "recovered-inline"
+        assert all(
+            e["site"] == "verify.worker" and e["index"] == 1 for e in result["fault_events"]
+        )
+        assert len(result["warnings"]) == len(result["fault_events"])
+
     def test_corrupt_store_scenario(self, tmp_path):
         result = run_scenario("corrupt-store", seed=0, workdir=tmp_path)
         assert result["ok"], result["detail"]
@@ -705,7 +839,8 @@ class TestCLI:
         assert cli_main(["chaos", "--list"]) == 0
         out = capsys.readouterr().out
         for name in (
-            "crash-storm", "hang", "flaky-io", "recheck-crash", "corrupt-store", "kill-resume"
+            "crash-storm", "hang", "flaky-io", "recheck-crash", "shrink-crash",
+            "corrupt-store", "kill-resume",
         ):
             assert name in out
 

@@ -317,6 +317,18 @@ class TestVerdictCache:
         assert reopened.stats()["hits"] == 1
         assert len(reopened) == 1
 
+    def test_membership_probe_counts_nothing(self, tmp_path):
+        env, program = _satellite()
+        config = VerificationConfig(backend="lyapunov")
+        cache = VerdictCache(tmp_path / "v")
+        key = cache.key(env, program, env.init_region, config)
+        assert key not in cache
+        verify_program(env, program, config=config, verdict_cache=cache)
+        reopened = VerdictCache(tmp_path / "v")
+        assert key in cache and key in reopened  # in memory, and on disk only
+        assert cache.stats() == {"hits": 0, "misses": 1, "puts": 1}
+        assert reopened.stats() == {"hits": 0, "misses": 0, "puts": 0}
+
     def test_environment_fingerprint_captures_dynamics(self):
         from repro.envs.cartpole import make_cartpole
 
